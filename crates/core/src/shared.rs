@@ -881,13 +881,14 @@ impl SharedMtScheduler {
         }
     }
 
-    /// ISSUE 10: admission prewarm. Probes each `(item, tx)` pair's
-    /// Definition-6 order against the item's current holders, grouping
-    /// pairs that land on the same item shard under a single shard-lock
-    /// acquisition so each `RT`/`WT` flat-table region — and the order-
-    /// cache lines it feeds — is touched once per admission batch instead
-    /// of once per transaction. Each probe runs through the same fused
-    /// one-vs-many compare lane as the access-path miss probe
+    /// Restart prewarm. Probes each `(item, tx)` pair's Definition-6
+    /// order against the item's current holders, grouping pairs that land
+    /// on the same item shard under a single shard-lock acquisition. The
+    /// engine calls this when it re-admits a restarted transaction with a
+    /// declared footprint: the III-D-4 hint has defined the new
+    /// incarnation's first element, so its compares are decidable before
+    /// the body runs. Each probe runs through the same fused one-vs-many
+    /// compare lane as the access-path miss probe
     /// ([`batched_order_probe`](Self::batched_order_probe)) and bulk-fills
     /// the order cache with whatever it decides.
     ///
@@ -895,8 +896,9 @@ impl SharedMtScheduler {
     /// orders enter the cache, undecided ones stay open, and no holder or
     /// vector element is written. The decisions taken by later
     /// [`read`](Self::read)/[`write`](Self::write) calls are therefore
-    /// identical with or without the warm-up — the admission-oracle
-    /// proptest in the engine crate pins this decision-for-decision.
+    /// identical with or without the warm-up; the engine crate's
+    /// decision-neutrality proptest runs schedules with and without
+    /// declared footprints and compares them decision for decision.
     ///
     /// `pairs` is reordered in place (grouped by owning shard); the caller
     /// owns the buffer so the steady state stays allocation-free. Pairs

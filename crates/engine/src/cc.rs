@@ -622,11 +622,13 @@ pub trait ConcurrentCc: Send + Sync {
     /// The transaction aborted; release its resources.
     fn aborted(&self, tx: TxId);
 
-    /// Admission prewarm (ISSUE 10): probe the Definition-6 orders of
-    /// each `(item, tx)` pair against the item's current holders so the
-    /// access path that follows is answered from the order cache. Purely
-    /// a memoization warm-up — implementations must not change any
-    /// scheduling decision (the admission-oracle proptest pins this).
+    /// Restart prewarm: probe the Definition-6 orders of each
+    /// `(item, tx)` pair against the item's current holders so the access
+    /// path that follows is answered from the order cache.
+    /// [`crate::Database::run_with_footprint`] calls it when it re-admits
+    /// a restarted transaction. Purely a memoization warm-up —
+    /// implementations must not change any scheduling decision (the
+    /// decision-neutrality proptest in `engine_tests.rs` pins this).
     /// `pairs` may be reordered in place. Default: no-op, for protocols
     /// without a shared probe lane.
     fn warm_probes(&self, pairs: &mut [(ItemId, TxId)]) {

@@ -42,7 +42,6 @@ use mdts_storage::{
 };
 use mdts_trace::{AbortReason, StallRule, TraceEvent, TraceSink};
 
-use crate::admission::{Admission, AdmissionConfig};
 use crate::cc::{
     CommitDecision, ConcurrencyControl, ConcurrentCc, SerializedCc, ShardedMtCc, Verdict,
 };
@@ -115,10 +114,6 @@ struct Shared<V> {
     /// log and acknowledged only once fsynced (see
     /// [`Database::with_store_concurrent_durable`]).
     durability: Option<Durability<V>>,
-    /// `Some` when admission is epoch-batched through the staging queue
-    /// (ISSUE 10, on by default; `MDTS_ADMIT_MODE=off` restores the
-    /// serial admission path).
-    admission: Option<Admission>,
 }
 
 impl<V> Shared<V> {
@@ -139,21 +134,50 @@ impl<V> Clone for Database<V> {
     }
 }
 
-impl<V: Clone + Send + 'static> Database<V> {
-    /// Empty database under a sequential protocol (wrapped in a
-    /// [`SerializedCc`]).
-    pub fn new(cc: Box<dyn ConcurrencyControl>) -> Self {
-        Database::with_store(cc, Store::new())
+impl<V: Clone> Shared<V> {
+    /// The one field list behind every [`Database`] constructor. `mv`
+    /// enables the snapshot serving path; `wal` is the write-ahead log
+    /// plus the recovered id and LSN high-water marks that seed the id and
+    /// clock counters, so recovered history stays monotone.
+    fn new(
+        cc: Box<dyn ConcurrentCc>,
+        mv: Option<MvState<V>>,
+        store: Store<V>,
+        trace: TraceSink,
+        wal: Option<(Durability<V>, u32, u64)>,
+    ) -> Self {
+        let name = if mv.is_some() { "MV-MT(k)" } else { cc.name() };
+        let (durability, next_tx, clock) = match wal {
+            Some((durability, max_tx, last_lsn)) => (Some(durability), max_tx, last_lsn),
+            None => (None, 0, 0),
+        };
+        Shared {
+            store: ShardedStore::from_store(store, DEFAULT_STORE_SHARDS),
+            cc,
+            mv,
+            next_tx: AtomicU32::new(next_tx),
+            clock: AtomicU64::new(clock),
+            wake: WakeSeq::default(),
+            metrics: Metrics::default(),
+            name,
+            trace,
+            durability,
+        }
     }
+}
 
-    /// Database with a pre-populated store, under a sequential protocol.
+impl<V: Clone> MvState<V> {
+    /// Version chains stamped by `cc`'s scheduler.
+    fn over(cc: &ShardedMtCc) -> Self {
+        MvState { store: ConcurrentMvStore::new(), sched: cc.scheduler_arc() }
+    }
+}
+
+impl<V: Clone + Send + 'static> Database<V> {
+    /// Database with a pre-populated store, under a sequential protocol
+    /// (wrapped in a [`SerializedCc`]).
     pub fn with_store(cc: Box<dyn ConcurrencyControl>, store: Store<V>) -> Self {
         Database::with_store_concurrent(Box::new(SerializedCc::new(cc)), store)
-    }
-
-    /// Empty database under a natively concurrent protocol.
-    pub fn new_concurrent(cc: Box<dyn ConcurrentCc>) -> Self {
-        Database::with_store_concurrent(cc, Store::new())
     }
 
     /// Database with a pre-populated store, under a natively concurrent
@@ -162,58 +186,25 @@ impl<V: Clone + Send + 'static> Database<V> {
         Database::with_store_concurrent_traced(cc, store, TraceSink::disabled())
     }
 
-    /// Empty database under a natively concurrent protocol, with the
-    /// engine's decision trace routed to `trace`. Attach the *protocol's*
-    /// trace to the same buffer (e.g. [`crate::ShardedMtCc::attach_trace`])
-    /// for a merged, auditable event stream.
-    pub fn new_concurrent_traced(cc: Box<dyn ConcurrentCc>, trace: TraceSink) -> Self {
-        Database::with_store_concurrent_traced(cc, Store::new(), trace)
-    }
-
     /// Database with a pre-populated store, a natively concurrent
-    /// protocol, and an engine trace sink.
+    /// protocol, and the engine's decision trace routed to `trace`.
+    /// Attach the *protocol's* trace to the same buffer (e.g.
+    /// [`crate::ShardedMtCc::attach_trace`]) for a merged, auditable
+    /// event stream.
     pub fn with_store_concurrent_traced(
         cc: Box<dyn ConcurrentCc>,
         store: Store<V>,
         trace: TraceSink,
     ) -> Self {
-        let name = cc.name();
-        Database {
-            shared: Arc::new(Shared {
-                store: ShardedStore::from_store(store, DEFAULT_STORE_SHARDS),
-                cc,
-                mv: None,
-                next_tx: AtomicU32::new(0),
-                clock: AtomicU64::new(0),
-                wake: WakeSeq::default(),
-                metrics: Metrics::default(),
-                name,
-                trace,
-                durability: None,
-                admission: AdmissionConfig::from_env().map(Admission::new),
-            }),
-        }
-    }
-
-    /// Empty database under sharded MT(k) with the multiversion serving
-    /// path enabled: read-only transactions run through
-    /// [`Database::run_read_only`] and never abort, restart or block.
-    pub fn new_multiversion(k: usize) -> Self
-    where
-        V: Sync,
-    {
-        Database::with_store_multiversion_traced(
-            ShardedMtCc::new(k),
-            Store::new(),
-            TraceSink::disabled(),
-        )
+        Database { shared: Arc::new(Shared::new(cc, None, store, trace, None)) }
     }
 
     /// Database with a pre-populated store under sharded MT(k), with the
-    /// multiversion serving path enabled and the engine trace routed to
-    /// `trace`. Attach the protocol's trace to the same buffer *before*
-    /// passing `cc` here (see [`ShardedMtCc::attach_trace`]) for a merged,
-    /// auditable stream.
+    /// multiversion serving path enabled: read-only transactions run
+    /// through [`Database::run_read_only`] and never abort, restart or
+    /// block. The engine trace goes to `trace`; attach the protocol's
+    /// trace to the same buffer *before* passing `cc` here (see
+    /// [`ShardedMtCc::attach_trace`]) for a merged, auditable stream.
     pub fn with_store_multiversion_traced(
         cc: ShardedMtCc,
         store: Store<V>,
@@ -222,22 +213,8 @@ impl<V: Clone + Send + 'static> Database<V> {
     where
         V: Sync,
     {
-        let sched = cc.scheduler_arc();
-        Database {
-            shared: Arc::new(Shared {
-                store: ShardedStore::from_store(store, DEFAULT_STORE_SHARDS),
-                cc: Box::new(cc),
-                mv: Some(MvState { store: ConcurrentMvStore::new(), sched }),
-                next_tx: AtomicU32::new(0),
-                clock: AtomicU64::new(0),
-                wake: WakeSeq::default(),
-                metrics: Metrics::default(),
-                name: "MV-MT(k)",
-                trace,
-                durability: None,
-                admission: AdmissionConfig::from_env().map(Admission::new),
-            }),
-        }
+        let mv = MvState::over(&cc);
+        Database { shared: Arc::new(Shared::new(Box::new(cc), Some(mv), store, trace, None)) }
     }
 
     /// Database with a pre-populated store, a natively concurrent
@@ -261,25 +238,7 @@ impl<V: Clone + Send + 'static> Database<V> {
     where
         V: WalValue + Send,
     {
-        let (shared, recovered) = durable_parts(store, &trace, config)?;
-        let name = cc.name();
-        let db = Database {
-            shared: Arc::new(Shared {
-                store: shared.0,
-                cc,
-                mv: None,
-                next_tx: shared.1,
-                clock: shared.2,
-                wake: WakeSeq::default(),
-                metrics: Metrics::default(),
-                name,
-                trace,
-                durability: Some(shared.3),
-                admission: AdmissionConfig::from_env().map(Admission::new),
-            }),
-        };
-        db.install_wal_checkpoint();
-        Ok((db, recovered))
+        Database::open_durable(cc, None, store, trace, config)
     }
 
     /// The durable counterpart of
@@ -294,23 +253,39 @@ impl<V: Clone + Send + 'static> Database<V> {
     where
         V: WalValue + Send,
     {
-        let (shared, recovered) = durable_parts(store, &trace, config)?;
-        let sched = cc.scheduler_arc();
-        let db = Database {
-            shared: Arc::new(Shared {
-                store: shared.0,
-                cc: Box::new(cc),
-                mv: Some(MvState { store: ConcurrentMvStore::new(), sched }),
-                next_tx: shared.1,
-                clock: shared.2,
-                wake: WakeSeq::default(),
-                metrics: Metrics::default(),
-                name: "MV-MT(k)",
-                trace,
-                durability: Some(shared.3),
-                admission: AdmissionConfig::from_env().map(Admission::new),
-            }),
-        };
+        let mv = MvState::over(&cc);
+        Database::open_durable(Box::new(cc), Some(mv), store, trace, config)
+    }
+
+    /// Recover + checkpoint + daemon start, shared by the durable
+    /// constructors: replay any sealed epochs at `config.wal_path` over
+    /// `store`, start a fresh log whose first epoch checkpoints the merged
+    /// state under [`crate::durability::CHECKPOINT_TX`], and resume the id
+    /// and clock counters past the recovered history.
+    fn open_durable(
+        cc: Box<dyn ConcurrentCc>,
+        mv: Option<MvState<V>>,
+        mut store: Store<V>,
+        trace: TraceSink,
+        config: &DurabilityConfig,
+    ) -> std::io::Result<(Self, Recovered<V>)>
+    where
+        V: WalValue,
+    {
+        let recovered = recover::<V>(&config.wal_path)?;
+        for (item, value) in recovered.store.iter() {
+            store.set(item, value.clone());
+        }
+        let checkpoint: Vec<(ItemId, V)> =
+            store.iter().map(|(item, value)| (item, value.clone())).collect();
+        let durability = Durability::start(
+            config,
+            &checkpoint,
+            recovered.last_lsn + 1,
+            trace.buffer().cloned(),
+        )?;
+        let wal = (durability, recovered.max_tx, recovered.last_lsn);
+        let db = Database { shared: Arc::new(Shared::new(cc, mv, store, trace, Some(wal))) };
         db.install_wal_checkpoint();
         Ok((db, recovered))
     }
@@ -318,10 +293,9 @@ impl<V: Clone + Send + 'static> Database<V> {
     /// Hands the group-commit daemon its checkpoint snapshot encoder (a
     /// no-op without durability). The closure captures the store's own
     /// [`ShardedStore::shard_handle`] rather than any reference to
-    /// `Shared`, so it never entangles the engine's reference counts —
-    /// [`Database::configure_admission`]'s `Arc::get_mut` still sees an
-    /// unshared allocation, and a rotation racing database teardown
-    /// snapshots a still-valid store instead of a dangling engine.
+    /// `Shared`, so it never entangles the engine's reference counts: a
+    /// rotation racing database teardown snapshots a still-valid store
+    /// instead of a dangling engine.
     fn install_wal_checkpoint(&self)
     where
         V: WalValue,
@@ -454,36 +428,8 @@ impl<V: Clone + Send + 'static> Database<V> {
             g.wal_checkpoints = checkpoints;
             g.wal_truncations = truncations;
         }
-        if let Some(adm) = &self.shared.admission {
-            let s = adm.stats();
-            g.admit_batches = s.batches;
-            g.admit_batched_txns = s.batched_txns;
-            g.admit_parked = s.parked;
-            g.admit_max_batch = s.max_batch;
-            g.admit_prewarm_pairs = s.prewarm_pairs;
-            g.admit_queue_depth = s.queue_depth;
-        }
+        g.admit_prewarm_pairs = self.shared.metrics.prewarm_pairs.load(Ordering::Relaxed);
         g
-    }
-
-    /// Replaces the admission pipeline (ISSUE 10): `Some` installs a
-    /// staging queue with the given knobs, `None` restores the serial
-    /// admission path. Call before the database is shared across threads
-    /// — the oracle tests use this to compare batched and serial
-    /// admission without relying on the environment.
-    ///
-    /// # Panics
-    /// Panics if the database handle has already been cloned.
-    pub fn configure_admission(&mut self, config: Option<AdmissionConfig>) {
-        let shared = Arc::get_mut(&mut self.shared)
-            .expect("configure_admission before sharing the database");
-        shared.admission = config.map(Admission::new);
-    }
-
-    /// Admission-pipeline counters (zeros when admission batching is
-    /// disabled).
-    pub fn admission_stats(&self) -> crate::admission::AdmissionStats {
-        self.shared.admission.as_ref().map(Admission::stats).unwrap_or_default()
     }
 
     /// Turns wall-time phase-span timing on or off (off by default; when
@@ -518,14 +464,14 @@ impl<V: Clone + Send + 'static> Database<V> {
     }
 
     /// Like [`run`](Self::run), with the transaction's expected
-    /// first-access items declared up front. On a batched-admission
-    /// database the footprint is prewarmed through the shard-grouped
-    /// probe lane during admission (ISSUE 10): the batch touches each
-    /// `RT`/`WT` table region once and bulk-fills the order cache, so
-    /// the accesses that follow are answered from the memo table. The
-    /// footprint is advisory — accesses outside it are simply probed on
-    /// the access path as before, and over-declaring only costs wasted
-    /// probes.
+    /// first-access items declared up front. When an incarnation aborts,
+    /// its restart is admitted with the III-D-4 starvation hint, which
+    /// defines the new incarnation's first vector element; the footprint
+    /// is then prewarmed through [`ConcurrentCc::warm_probes`], so its
+    /// now-decidable Definition-6 compares are memoized in the order cache
+    /// before the body's accesses ask for them. The footprint is advisory:
+    /// accesses outside it are probed on the access path as usual, and
+    /// over-declaring only costs wasted probes.
     pub fn run_with_footprint<T>(
         &self,
         max_restarts: usize,
@@ -539,40 +485,26 @@ impl<V: Clone + Send + 'static> Database<V> {
         // re-fills the buffers its predecessor already grew, so a restart
         // storm does not churn the allocator.
         let mut scratch = TxScratch::default();
-        // Backoff escalation is tracked separately from the attempt count:
-        // an admission that parked in the staging queue was already
-        // staggered by the queue wait, so it resets the escalation
-        // instead of compounding it (the double-penalty fix, ISSUE 10).
-        let mut backoff_attempt = 0usize;
-        let mut parked_last = false;
         for attempt in 0..=max_restarts {
             let span = shared.metrics.phases.start();
-            let id = match &shared.admission {
-                Some(adm) => {
-                    let (id, parked) = adm.admit(
-                        shared.cc.as_ref(),
-                        &shared.next_tx,
-                        &shared.trace,
-                        prev,
-                        footprint,
-                        &mut scratch.pairs,
-                    );
-                    if parked {
-                        backoff_attempt = 0;
+            let id = TxId(shared.next_tx.fetch_add(1, Ordering::Relaxed) + 1);
+            shared.trace.emit(|| TraceEvent::Begin { tx: id });
+            match prev {
+                Some(p) => {
+                    shared.cc.begin_restarted(id, p);
+                    if !footprint.is_empty() {
+                        let pairs = &mut scratch.pairs;
+                        pairs.clear();
+                        pairs.extend(footprint.iter().map(|&item| (item, id)));
+                        shared
+                            .metrics
+                            .prewarm_pairs
+                            .fetch_add(pairs.len() as u64, Ordering::Relaxed);
+                        shared.cc.warm_probes(pairs);
                     }
-                    parked_last = parked;
-                    id
                 }
-                None => {
-                    let id = TxId(shared.next_tx.fetch_add(1, Ordering::Relaxed) + 1);
-                    shared.trace.emit(|| TraceEvent::Begin { tx: id });
-                    match prev {
-                        Some(p) => shared.cc.begin_restarted(id, p),
-                        None => shared.cc.begin(id),
-                    }
-                    id
-                }
-            };
+                None => shared.cc.begin(id),
+            }
             shared.metrics.phases.record_since(Phase::Admission, span);
             let epoch = shared.cc.epoch();
             let mut tx = Tx { shared, id, epoch, scratch: std::mem::take(&mut scratch) };
@@ -612,16 +544,7 @@ impl<V: Clone + Send + 'static> Database<V> {
             if attempt < max_restarts {
                 Metrics::bump(&shared.metrics.restarts);
                 let span = shared.metrics.phases.start();
-                if parked_last {
-                    // This incarnation already waited its turn in the
-                    // staging queue; sleeping the jittered backoff on top
-                    // would penalize it twice. Yield and re-admit — the
-                    // queue itself staggers the retry.
-                    std::thread::yield_now();
-                } else {
-                    restart_backoff(backoff_attempt, id.0);
-                }
-                backoff_attempt += 1;
+                restart_backoff(attempt, id.0);
                 shared.metrics.phases.record_since(Phase::Backoff, span);
             }
         }
@@ -646,7 +569,7 @@ impl<V: Clone + Send + 'static> Database<V> {
     ///
     /// # Panics
     /// Panics if the database was not built with the multiversion path
-    /// (see [`Database::new_multiversion`]).
+    /// (see [`Database::with_store_multiversion_traced`]).
     pub fn run_read_only<T>(&self, body: impl FnOnce(&mut SnapshotTx<'_, V>) -> T) -> T
     where
         V: Sync,
@@ -794,56 +717,39 @@ impl<V: Clone + Send + Sync + 'static> SnapshotTx<'_, V> {
     }
 }
 
+/// Restart attempts that yield before [`restart_backoff`] starts to sleep.
+const YIELD_ATTEMPTS: usize = 6;
+
 /// Bounded exponential backoff between restart attempts.
 ///
 /// A restarted transaction re-enters the conflict window immediately, and
 /// under a hot-spot restart storm every retry adds load exactly where the
 /// system is already saturated: each extra abort increases the reference
 /// churn every *other* in-flight validation sees, so the storm feeds
-/// itself. Yielding for the first couple of attempts keeps short conflicts
-/// cheap; after that the loser sleeps, doubling from 25 µs up to ~1.6 ms,
-/// shedding load instead of re-adding it. The jitter (derived from the
-/// aborted incarnation's id — this crate deliberately has no `rand`
-/// dependency) keeps a crowd of losers from re-colliding in lockstep.
+/// itself. Yielding for the first [`YIELD_ATTEMPTS`] attempts keeps short
+/// conflicts cheap; after that the loser sleeps, doubling from 25 µs up to
+/// ~1.6 ms, shedding load instead of re-adding it. The jitter (derived
+/// from the aborted incarnation's id — this crate deliberately has no
+/// `rand` dependency) keeps a crowd of losers from re-colliding in
+/// lockstep.
+///
+/// The yield phase must let a restart's III-D-4 hint converge: each
+/// immediate retry starts just above the transaction that last rejected
+/// it, and at `bankbench`'s two-client Zipf(0.9) hotspot nearly every
+/// restart streak ends within five restarts. A sleep lets the hint go stale — the
+/// other client commits hundreds of transactions past it meanwhile — so
+/// the loser is rejected again, sleeps longer, and can sit out most of
+/// its round, as it did when sleeps began at the fourth restart. exp19's
+/// 16-thread Zipf aborts per commit stay near 2 with six yields.
 fn restart_backoff(attempt: usize, id_salt: u32) {
-    if attempt < 3 {
+    if attempt < YIELD_ATTEMPTS {
         std::thread::yield_now();
         return;
     }
-    let shift = (attempt - 3).min(4) as u32;
+    let shift = (attempt - YIELD_ATTEMPTS).min(4) as u32;
     let base = 25u64 << shift;
     let jitter = (u64::from(id_salt.wrapping_mul(0x9E37_79B9)) >> 16 << shift) >> 11;
     std::thread::sleep(std::time::Duration::from_micros(base + jitter));
-}
-
-/// Recover + checkpoint + daemon start, shared by the durable
-/// constructors: replay any sealed epochs at `config.wal_path` over
-/// `store`, start a fresh log whose first epoch checkpoints the merged
-/// state under [`crate::durability::CHECKPOINT_TX`], and seed the id and
-/// clock counters so recovered history stays monotone.
-#[allow(clippy::type_complexity)]
-fn durable_parts<V: Clone + Send + WalValue>(
-    mut store: Store<V>,
-    trace: &TraceSink,
-    config: &DurabilityConfig,
-) -> std::io::Result<((ShardedStore<V>, AtomicU32, AtomicU64, Durability<V>), Recovered<V>)> {
-    let recovered = recover::<V>(&config.wal_path)?;
-    for (item, value) in recovered.store.iter() {
-        store.set(item, value.clone());
-    }
-    let checkpoint: Vec<(ItemId, V)> =
-        store.iter().map(|(item, value)| (item, value.clone())).collect();
-    let durability =
-        Durability::start(config, &checkpoint, recovered.last_lsn + 1, trace.buffer().cloned())?;
-    Ok((
-        (
-            ShardedStore::from_store(store, DEFAULT_STORE_SHARDS),
-            AtomicU32::new(recovered.max_tx),
-            AtomicU64::new(recovered.last_lsn),
-            durability,
-        ),
-        recovered,
-    ))
 }
 
 /// What [`Tx::commit`] produced.
@@ -867,8 +773,8 @@ struct TxScratch<V> {
     items: Vec<ItemId>,
     /// Commit-time store-shard indices (sorted, deduped).
     shard_idxs: Vec<usize>,
-    /// Admission prewarm `(item, tx)` pairs (ISSUE 10), recycled across
-    /// restart attempts like the rest of the workspace.
+    /// Restart-prewarm `(item, tx)` pairs, recycled across restart
+    /// attempts like the rest of the workspace.
     pairs: Vec<(ItemId, TxId)>,
 }
 

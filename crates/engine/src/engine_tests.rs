@@ -649,7 +649,7 @@ mod mv_props {
 }
 
 // ---------------------------------------------------------------------
-// batched admission ≡ serial admission (ISSUE 10, satellite 3)
+// the restart prewarm is decision-neutral
 // ---------------------------------------------------------------------
 
 mod admission_props {
@@ -657,7 +657,6 @@ mod admission_props {
     use mdts_storage::Store;
     use proptest::prelude::*;
 
-    use crate::admission::{AdmissionConfig, ADMIT_FOOTPRINT};
     use crate::cc::ShardedMtCc;
     use crate::db::{Database, TxError};
 
@@ -685,20 +684,24 @@ mod admission_props {
     }
 
     /// Every transaction's observable outcome: the values it read on its
-    /// committed incarnation, or the terminal error.
+    /// committed incarnation, or the terminal error. With `declare` each
+    /// transaction declares its read and write items as its footprint;
+    /// without, it runs through plain [`Database::run`].
     #[allow(clippy::type_complexity)]
-    fn drive(db: &Database<i64>, schedule: &[TxSpec]) -> Vec<Result<Vec<i64>, TxError>> {
+    fn drive(
+        db: &Database<i64>,
+        schedule: &[TxSpec],
+        declare: bool,
+    ) -> Vec<Result<Vec<i64>, TxError>> {
         schedule
             .iter()
             .enumerate()
             .map(|(i, spec)| {
-                let footprint: Vec<ItemId> = spec
-                    .reads
-                    .iter()
-                    .chain(spec.writes.iter())
-                    .take(ADMIT_FOOTPRINT)
-                    .map(|&x| ItemId(x))
-                    .collect();
+                let footprint: Vec<ItemId> = if declare {
+                    spec.reads.iter().chain(spec.writes.iter()).map(|&x| ItemId(x)).collect()
+                } else {
+                    Vec::new()
+                };
                 let value = i as i64 + 1;
                 db.run_with_footprint(4, &footprint, |tx| {
                     let mut got = Vec::new();
@@ -717,48 +720,48 @@ mod admission_props {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The staging queue is decision-neutral: driving the same
-        /// schedule through a serial-admission database and a
-        /// batched-admission one (where prewarm probes run ahead of the
-        /// transaction body) must grant and reject identically —
-        /// outcome for outcome, read for read, abort for abort — and
-        /// leave identical stores. Prewarm only memoizes *decided*
-        /// compares, so it can never flip an ordering decision.
+        /// The restart prewarm is decision-neutral: driving the same
+        /// schedule once with declared footprints (so every restart
+        /// prewarms its items' compares before the body runs) and once
+        /// without must grant and reject identically — outcome for
+        /// outcome, read for read, abort for abort — and leave identical
+        /// stores. Prewarm only memoizes *decided* compares, so it can
+        /// never flip an ordering decision.
         #[test]
-        fn batched_admission_matches_serial_decision_for_decision(
+        fn restart_prewarm_matches_plain_run_decision_for_decision(
             schedule in arb_schedule(),
             k in 2usize..5,
-            batch_max in 1usize..5,
         ) {
-            let mut serial: Database<i64> = Database::with_store_concurrent(
-                Box::new(ShardedMtCc::new(k)),
-                Store::with_items(ITEMS, 0),
-            );
-            serial.configure_admission(None);
-            let mut batched: Database<i64> = Database::with_store_concurrent(
-                Box::new(ShardedMtCc::new(k)),
-                Store::with_items(ITEMS, 0),
-            );
-            batched.configure_admission(Some(AdmissionConfig { batch_max }));
+            let new_db = || -> Database<i64> {
+                Database::with_store_concurrent(
+                    Box::new(ShardedMtCc::new(k)),
+                    Store::with_items(ITEMS, 0),
+                )
+            };
+            let declared = new_db();
+            let plain = new_db();
+            let got_declared = drive(&declared, &schedule, true);
+            let got_plain = drive(&plain, &schedule, false);
+            prop_assert_eq!(&got_declared, &got_plain,
+                "the prewarm changed an outcome on {:?}", &schedule);
 
-            let got_serial = drive(&serial, &schedule);
-            let got_batched = drive(&batched, &schedule);
-            prop_assert_eq!(&got_serial, &got_batched,
-                "admission paths diverged on {:?}", &schedule);
+            let md = declared.metrics();
+            let mp = plain.metrics();
+            prop_assert_eq!(md.commits, mp.commits);
+            prop_assert_eq!(md.aborts, mp.aborts);
+            prop_assert_eq!(md.restarts, mp.restarts);
+            prop_assert_eq!(md.access_aborts, mp.access_aborts);
+            prop_assert_eq!(md.validation_aborts, mp.validation_aborts);
+            prop_assert_eq!(md.epoch_aborts, mp.epoch_aborts);
+            prop_assert_eq!(md.gave_up, mp.gave_up);
+            prop_assert_eq!(declared.snapshot(), plain.snapshot());
 
-            let ms = serial.metrics();
-            let mb = batched.metrics();
-            prop_assert_eq!(ms.commits, mb.commits);
-            prop_assert_eq!(ms.aborts, mb.aborts);
-            prop_assert_eq!(ms.access_aborts, mb.access_aborts);
-            prop_assert_eq!(ms.validation_aborts, mb.validation_aborts);
-            prop_assert_eq!(serial.snapshot(), batched.snapshot());
-
-            // The batched path really ran through the staging queue …
-            let stats = batched.admission_stats();
-            prop_assert!(stats.batches >= schedule.len() as u64);
-            // … and the serial database never touched it.
-            prop_assert_eq!(serial.admission_stats().batches, 0);
+            // Without a footprint there is nothing to prewarm; with one,
+            // every restart prewarms its declared items.
+            prop_assert_eq!(mp.gauges.admit_prewarm_pairs, 0);
+            if md.restarts == 0 {
+                prop_assert_eq!(md.gauges.admit_prewarm_pairs, 0);
+            }
         }
     }
 }

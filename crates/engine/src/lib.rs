@@ -37,10 +37,10 @@
 //! |---|---|
 //! | [`ShardedMtCc`] | MT(k) on [`mdts_core::SharedMtScheduler`] — item-sharded timestamp table, O(1) reclamation |
 //!
-//! With [`Database::new_multiversion`] the engine additionally serves
-//! **read-only snapshot transactions** from MV-MT(k) version chains
-//! ([`Database::run_read_only`]): they never abort, restart or block
-//! writers.
+//! With [`Database::with_store_multiversion_traced`] the engine
+//! additionally serves **read-only snapshot transactions** from MV-MT(k)
+//! version chains ([`Database::run_read_only`]): they never abort,
+//! restart or block writers.
 //!
 //! With [`Database::with_store_concurrent_durable`] commits are also
 //! framed into a group-commit **write-ahead log** ([`DurabilityConfig`])
@@ -48,7 +48,6 @@
 //! epochs and an auditor can certify the recovered state against the
 //! persisted decision-trace journal.
 
-pub mod admission;
 pub mod cc;
 pub mod db;
 pub mod durability;
@@ -57,7 +56,6 @@ pub(crate) mod sync;
 pub mod wakeseq;
 pub mod workload;
 
-pub use admission::{Admission, AdmissionConfig, AdmissionStats, ADMIT_FOOTPRINT};
 pub use cc::{
     BasicToCc, CommitDecision, CompositeCc, ConcurrencyControl, ConcurrentCc, IntervalCc, MtCc,
     MvToCc, OccCc, SchedulerGauges, SerializedCc, ShardedMtCc, TwoPlCc, Verdict,

@@ -44,6 +44,9 @@ pub(crate) struct Metrics {
     /// never arrived (the WAL halted mid-wait): reported as
     /// `TxError::DurabilityUnknown`, never retried.
     pub wal_unacked: AtomicU64,
+    /// `(item, tx)` pairs prewarmed on restart admissions (surfaced as
+    /// the `admit_prewarm_pairs` gauge).
+    pub prewarm_pairs: AtomicU64,
     pub latency: LatencyHistogram,
     /// Blocked-wait *durations* in logical ticks (one sample per
     /// `blocked_waits` event), not just the event count.
@@ -71,6 +74,7 @@ impl Default for Metrics {
             snapshot_txns: AtomicU64::new(0),
             snapshot_reads: AtomicU64::new(0),
             wal_unacked: AtomicU64::new(0),
+            prewarm_pairs: AtomicU64::new(0),
             latency: LatencyHistogram::default(),
             block_wait_ticks: LatencyHistogram::default(),
             shard_accesses: [0u64; SHARD_SLOTS].map(AtomicU64::new),
@@ -347,19 +351,16 @@ pub struct EngineGauges {
     pub wal_checkpoints: u64,
     /// WAL prefix truncations performed after those checkpoints.
     pub wal_truncations: u64,
-    /// Admission batches issued (fenced id blocks, including every
-    /// batch-of-one fast path; 0 with admission batching off).
+    /// Always 0: admission is serial, so nothing batches. Kept so
+    /// readers of the `admission` breakdown keep their schema.
     pub admit_batches: u64,
-    /// Transactions admitted through those batches.
+    /// Always 0 (see `admit_batches`).
     pub admit_batched_txns: u64,
-    /// Admissions that parked in the staging queue.
+    /// Always 0: no admission parks.
     pub admit_parked: u64,
-    /// High-water admission batch size.
-    pub admit_max_batch: u64,
-    /// `(item, tx)` pairs prewarmed through the shard-grouped probe.
+    /// `(item, tx)` footprint pairs prewarmed on restart admissions
+    /// (cumulative).
     pub admit_prewarm_pairs: u64,
-    /// Staged admission requests at sample time (occupancy).
-    pub admit_queue_depth: u64,
 }
 
 impl EngineGauges {
@@ -782,9 +783,7 @@ impl MetricsSnapshot {
                 ("batches".to_string(), g.admit_batches),
                 ("batched_txns".to_string(), g.admit_batched_txns),
                 ("parked".to_string(), g.admit_parked),
-                ("max_batch".to_string(), g.admit_max_batch),
                 ("prewarm_pairs".to_string(), g.admit_prewarm_pairs),
-                ("queue_depth".to_string(), g.admit_queue_depth),
             ],
         );
         let entries: Vec<(String, u64)> = self

@@ -252,10 +252,8 @@ fn run_bank_mix_on(db: Database<i64>, cfg: &BankConfig) -> BankReport {
                             dst = zipf.sample(&mut rng);
                         }
                         // The transfer's items are known up front, so the
-                        // footprint is declared: on a batched-admission
-                        // database the admission batch prewarms both
-                        // accounts' order probes shard by shard
-                        // (ISSUE 10); everywhere else it is ignored.
+                        // footprint is declared: a restart prewarms both
+                        // accounts' order probes before re-running the body.
                         db.run_with_footprint(cfg.max_restarts, &[src, dst], |tx| {
                             let a = tx.read(src)?.unwrap_or(0);
                             let b = tx.read(dst)?.unwrap_or(0);

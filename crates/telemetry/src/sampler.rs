@@ -18,7 +18,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mdts_engine::Database;
+use mdts_engine::{Database, MetricsSnapshot};
 
 use crate::stall::{StallConfig, StallDetector, WindowStats};
 use crate::window::{TimeSeries, Window};
@@ -68,9 +68,13 @@ impl Sampler {
         let flag = Arc::clone(&stop);
         let db = db.clone();
         let (wake_tx, wake_rx) = mpsc::channel::<()>();
+        // The baseline is taken here, on the caller's thread, so nothing
+        // the caller runs after `start` returns can slip in before it.
+        let t0 = Instant::now();
+        let baseline = db.metrics();
         let handle = std::thread::Builder::new()
             .name("mdts-telemetry".into())
-            .spawn(move || sample_loop(&db, cfg, &flag, &wake_rx))
+            .spawn(move || sample_loop(&db, cfg, t0, baseline, &flag, &wake_rx))
             .expect("spawn telemetry sampler");
         Sampler { stop, wake_tx, handle }
     }
@@ -88,11 +92,11 @@ impl Sampler {
 fn sample_loop<V: Clone + Send + Sync + 'static>(
     db: &Database<V>,
     cfg: SamplerConfig,
+    t0: Instant,
+    baseline: MetricsSnapshot,
     stop: &AtomicBool,
     wake: &mpsc::Receiver<()>,
 ) -> TimeSeries {
-    let t0 = Instant::now();
-    let baseline = db.metrics();
     let mut detector = cfg.stall.map(StallDetector::new);
     let mut series = TimeSeries {
         experiment: cfg.experiment,

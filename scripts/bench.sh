@@ -14,9 +14,8 @@
 #                              group-commit lane (exp19 --durable) to
 #                              BENCH_pr9.json, the crash-recovery
 #                              matrix (exp20) to BENCH_pr9_exp20.json,
-#                              the batched-admission durable sweep
-#                              (exp19 --durable with the ISSUE 10
-#                              admission pipeline on by default) to
+#                              the durable sweep with restart-prewarm
+#                              traffic (exp19 --durable) to
 #                              BENCH_pr10.json, and the parallel-replay /
 #                              certified-restart / truncation matrix
 #                              (exp21) to BENCH_pr10_exp21.json
@@ -24,8 +23,8 @@
 #   scripts/bench.sh --smoke   CI-sized: exp19 --quick --json validated for
 #                              the schema stamp, the read-heavy MV lane
 #                              (snapshot transactions actually served), the
-#                              same sweep under --nocache (every admission
-#                              takes the batched-SIMD order probe; exp19
+#                              same sweep under --nocache (every order probe
+#                              takes the batched-SIMD lane; exp19
 #                              asserts batched_compares > 0 there), the
 #                              bench_compare --json SIMD lanes (schema +
 #                              lane presence), and exp18 --json, plus
@@ -35,9 +34,9 @@
 #                              and exp20 --smoke (crash matrix: every
 #                              injection site plus SIGKILL, recovery, and
 #                              auditor certification). The exp19 document
-#                              must carry non-zero admission batches
-#                              (the ISSUE 10 staging queue is on by
-#                              default), and exp21 --smoke runs the
+#                              must carry non-zero restart-prewarm pairs
+#                              (declared transfer footprints reach the
+#                              prewarm), and exp21 --smoke runs the
 #                              parallel-replay identity, certified
 #                              restart, and checkpoint-truncation lanes.
 #                              The telemetry lane always runs: exp19 emits
@@ -88,7 +87,7 @@ if [[ "${1:-}" == "--smoke" ]]; then
         echo "bench smoke: read-heavy sweep is missing the MV snapshot lane" >&2
         exit 1
     fi
-    echo "== bench smoke: exp19 --quick --json --nocache (batched order probes on every admission) =="
+    echo "== bench smoke: exp19 --quick --json --nocache (batched order probes on every miss) =="
     doc_nc=$(cargo run --release -q -p mdts-bench --bin exp19_scaling -- --quick --json --nocache)
     if [[ "$doc_nc" != *'"order_cache":"off"'* ]]; then
         echo "bench smoke: --nocache document is missing the cache-off label" >&2
@@ -110,12 +109,11 @@ if [[ "${1:-}" == "--smoke" ]]; then
         echo "bench smoke: --durable document is missing the group-commit sweep" >&2
         exit 1
     fi
-    # The batched admission pipeline is on by default, so the exp19
-    # document must carry a populated admission breakdown — at least one
-    # lane with a non-zero batch count, or the staging queue silently
-    # fell back to the serial path.
-    if ! grep -qE '"admission":\{"batches":[1-9]' <<<"$doc"; then
-        echo "bench smoke: exp19 document has no admission batches (pipeline inert?)" >&2
+    # Transfers declare their footprints, so the exp19 document must
+    # carry at least one lane whose restarts prewarmed them, or the
+    # restart prewarm silently stopped running.
+    if ! grep -qE '"prewarm_pairs":[1-9]' <<<"$doc"; then
+        echo "bench smoke: exp19 document has no restart-prewarm pairs (prewarm inert?)" >&2
         exit 1
     fi
     echo "== bench smoke: exp20 --smoke (crash matrix: injection sites + SIGKILL + auditor) =="
@@ -184,10 +182,10 @@ cargo run --release -q -p mdts-bench --bin exp20_recovery -- --json > "$OUT9_20"
 grep -q "$SCHEMA" "$OUT9_20"
 echo "bench: wrote $OUT9_20"
 
-echo "== exp19 --durable (batched admission on by default) --json -> $OUT10 =="
+echo "== exp19 --durable (restart prewarm on declared footprints) --json -> $OUT10 =="
 cargo run --release -q -p mdts-bench --bin exp19_scaling -- --durable --json > "$OUT10"
 grep -q "$SCHEMA" "$OUT10"
-grep -qE '"admission":\{"batches":[1-9]' "$OUT10"
+grep -qE '"prewarm_pairs":[1-9]' "$OUT10"
 echo "bench: wrote $OUT10"
 
 echo "== exp21 (parallel replay + certified restart + truncation) --json -> $OUT10_21 =="

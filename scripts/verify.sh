@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Full local verification gate: formatting, lints, release build, and the
+# Full local verification gate: formatting, lints, release build, the
 # complete workspace test suite (tier-1 is the root package's tests; the
-# workspace run is a superset). Run from the repo root.
+# workspace run is a superset) and the benchmark's own tests. Run from the
+# repo root.
 #
 #   --full   additionally regenerate every expout/*.txt fixture and fail
 #            on diff (scripts/expout.sh — stale fixtures can't silently
@@ -37,6 +38,11 @@ cargo test --workspace -q
 # the assertion meaningful under the optimizer as well.
 echo "== alloc-regression gate (release) =="
 cargo test --release -q --test alloc_zero
+
+# The benchmark is its own workspace, so `cargo test --workspace` never
+# builds it; its harness tests pin the engine API and counters it reads.
+echo "== benchmark harness tests (bankbench, release) =="
+cargo test --release --offline --manifest-path bankbench/Cargo.toml
 
 if [[ "$FULL" -eq 1 ]]; then
   echo "== expout fixtures (regenerate every expout/*.txt, fail on diff) =="

@@ -8,7 +8,7 @@
 //!
 //! The whole scenario lives in ONE `#[test]`, and the counter is
 //! **per-thread**: every measured path below runs entirely on the
-//! calling thread (the scheduler, the admission leader path, and the
+//! calling thread (the scheduler, the admission sequence, and the
 //! WAL framing never delegate allocation to another thread), so a
 //! thread-local count is exactly as strong a gate — and it is immune to
 //! the one background thread that does exist, libtest's harness thread,
@@ -248,67 +248,62 @@ fn steady_state_scheduler_path_is_allocation_free_for_inline_k() {
         assert_eq!(framing, 0, "framing a commit into a warmed epoch buffer must not allocate");
     }
 
-    // The epoch-batched admission fast path (ISSUE 10). Uncontended, a
-    // client is its own leader: queue-flag check, fenced id fetch-add,
-    // scheduler begin, and — on a restart — the shard-grouped footprint
-    // prewarm through the batched probe lane. With the thread-local
-    // admission cell, the caller's pair scratch, the probe lane's batch
-    // scratch, and the row/shard tables all warmed, whole
-    // admit → access → abort → re-admit(+prewarm) → commit rounds must
-    // not allocate.
+    // The engine's admission sequence, including the restart prewarm: a
+    // fresh `begin`, an access and an abort, then the restarted
+    // incarnation's `begin_restarted` plus `warm_probes` over its declared
+    // footprint (the pair scratch is recycled, as `run_with_footprint`
+    // recycles it across restarts), reads, and a commit. With the pair
+    // scratch, the probe lane's batch scratch and the row/shard tables
+    // all warmed, whole rounds must not allocate.
     {
-        use std::sync::atomic::AtomicU32;
-
-        use mdts::engine::{Admission, AdmissionConfig, ConcurrentCc, ShardedMtCc};
-        use mdts::trace::TraceSink;
+        use mdts::engine::{ConcurrentCc, ShardedMtCc};
 
         let mut opts = MtOptions::new(INLINE_K);
         opts.starvation_flush = true;
         let cc = ShardedMtCc::with_options(opts);
-        let adm = Admission::new(AdmissionConfig { batch_max: 8 });
-        let next = AtomicU32::new(0);
-        let trace = TraceSink::disabled();
         let mut pairs: Vec<(ItemId, TxId)> = Vec::new();
         let footprint = [item(0), item(67), item(134)];
+        let scan = TxId(1);
+        let mut last = scan.0;
 
-        // One round of the measured shape: a fresh admission, an access,
-        // an abort, then the restarted re-admission that prewarms the
-        // declared footprint, and a commit.
-        let admit_round = |pairs: &mut Vec<(ItemId, TxId)>| {
-            let (a, parked) = adm.admit(&cc, &next, &trace, None, &footprint, pairs);
-            assert!(!parked, "an uncontended admission must lead its own batch");
+        let mut round = |pairs: &mut Vec<(ItemId, TxId)>| {
+            let (a, b) = (TxId(last + 1), TxId(last + 2));
+            last += 2;
+            cc.begin(a);
             let _ = cc.read(a, footprint[0]);
             cc.aborted(a);
-            let (b, parked) = adm.admit(&cc, &next, &trace, Some(a), &footprint, pairs);
-            assert!(!parked);
+            cc.begin_restarted(b, a);
+            pairs.clear();
+            pairs.extend(footprint.iter().map(|&item| (item, b)));
+            cc.warm_probes(pairs);
             let _ = cc.read(b, footprint[0]);
             let _ = cc.read(b, footprint[1]);
             cc.committed(b);
         };
 
         // Warmup: materialize the shard tables and row chunk 0 with a
-        // scan, then warm the admission cell, the pair scratch, and the
-        // probe lane's batch scratch with a stretch of rounds.
-        let (scan, _) = adm.admit(&cc, &next, &trace, None, &[], &mut pairs);
+        // scan, then warm the pair scratch and the probe lane's batch
+        // scratch with a stretch of rounds.
+        cc.begin(scan);
         for n in 0..ITEMS {
             let _ = cc.read(scan, item(n));
         }
         cc.committed(scan);
         for _ in 0..50 {
-            admit_round(&mut pairs);
+            round(&mut pairs);
         }
 
         let admission = allocations(|| {
             for _ in 0..200 {
-                admit_round(&mut pairs);
+                round(&mut pairs);
             }
         });
         assert_eq!(
             admission, 0,
-            "the warmed admission fast path (including restart prewarm) must not allocate"
+            "warmed admission rounds (including the restart prewarm) must not allocate"
         );
-        let stats = adm.stats();
-        assert!(stats.batches > 0 && stats.prewarm_pairs > 0, "the prewarm lane must have run");
+        let stats = cc.order_cache_stats().expect("sharded MT(k) keeps an order cache");
+        assert!(stats.bulk_inserts > 0, "the measured rounds must bulk-fill the order cache");
     }
 
     // Sanity check that the counter actually observes the scheduler: one
