@@ -19,7 +19,9 @@
 //! * **Sharded value state**: [`ShardedStore`] stripes the single-version
 //!   store over independently locked shards so the engine's reads and
 //!   commits on disjoint items proceed in parallel instead of funnelling
-//!   through one global mutex.
+//!   through one global mutex. Each [`Shard`] is a dense table indexed by
+//!   the id's high bits (the layout of the protocol's `RT`/`WT` tables),
+//!   so a lookup is one load and memory is O(largest item id).
 //! * **Durability** (ISSUE 9): [`wal`] is a binary redo log with
 //!   per-record CRC framing, monotone LSNs and epoch (group-commit)
 //!   frames; [`recovery`] replays every sealed epoch back into a
@@ -43,7 +45,7 @@ pub use mvstore::{
     DEFAULT_PRUNE_THRESHOLD, MV_CHAIN_LEN_BUCKETS,
 };
 pub use recovery::{recover, recover_with, replay_threads, Recovered, RecoveryReport};
-pub use sharded::{ShardGuard, ShardedStore, DEFAULT_STORE_SHARDS};
+pub use sharded::{Shard, ShardGuard, ShardedStore, DEFAULT_STORE_SHARDS};
 pub use store::Store;
 pub use twophase::WriteBuffer;
 pub use undo::{Savepoint, UndoLog};

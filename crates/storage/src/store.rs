@@ -50,7 +50,7 @@ impl<V: Clone> Store<V> {
     }
 
     /// Iterates items in ascending id order.
-    pub fn iter(&self) -> impl Iterator<Item = (ItemId, &V)> {
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (ItemId, &V)> {
         self.values.iter().map(|(&k, v)| (k, v))
     }
 

@@ -44,8 +44,14 @@
 #                              --telemetry-strict, timeseries_check
 #                              validates it (schema, dense window indices,
 #                              counter recomposition) and certifies the
-#                              stall-detector regression fixtures. Only a
-#                              temp file is written.
+#                              stall-detector regression fixtures. Then
+#                              the repo benchmark runs end to end: bankbench
+#                              --workload all --seconds 1 (every workload,
+#                              untraced and traced, each round checked);
+#                              it fails on a non-zero exit or on a result
+#                              line whose "failed" count is not 0. Only a
+#                              temp file and the benchmark's git-ignored
+#                              bankbench/work logs are written.
 #   scripts/bench.sh --telemetry
 #                              full run as above, additionally passing
 #                              --telemetry to exp19 so the window stream
@@ -135,6 +141,17 @@ if [[ "${1:-}" == "--smoke" ]]; then
     cargo run --release -q -p mdts-bench --bin timeseries_check -- "$ts_file"
     echo "== bench smoke: stall-detector regression fixtures =="
     cargo run --release -q -p mdts-bench --bin timeseries_check -- --stall-fixture
+    echo "== bench smoke: bankbench --workload all (end to end, every round checked) =="
+    bank=$(cargo run --release --offline -q --manifest-path bankbench/Cargo.toml -- \
+        --workload all --seed 1 --seconds 1)
+    if ! grep -q '^{"correct":true' <<<"$bank"; then
+        echo "bench smoke: bankbench printed no result line" >&2
+        exit 1
+    fi
+    if grep -qE '"failed":[1-9]' <<<"$bank"; then
+        echo "bench smoke: a bankbench workload reports failed operations" >&2
+        exit 1
+    fi
     echo "== bench smoke: criterion targets compile =="
     cargo bench -p mdts-bench --bench bench_scaling --no-run
     cargo bench -p mdts-bench --bench bench_compare --no-run

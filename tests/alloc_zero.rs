@@ -1,10 +1,10 @@
 //! Zero-allocation assertion for the steady-state concurrent scheduler
 //! path (ISSUE 5): with k ≤ INLINE_K every `TsVec` is a single inline
-//! cache line, the `RT`/`WT` shard tables are flat dense arrays, the
-//! order cache is a fixed-size direct-mapped table, and the row table's
-//! chunks are published once — so after a warmup that materializes the
-//! storage, begin/access/commit/abort/restart through
-//! [`SharedMtScheduler`] must perform **zero** heap allocations.
+//! cache line, the `RT`/`WT` shard tables and the value store's shards
+//! are flat dense arrays, the order cache is a fixed-size direct-mapped
+//! table, and the row table's chunks are published once — so after a
+//! warmup that materializes the storage, begin/access/commit/abort/restart
+//! through [`SharedMtScheduler`] must perform **zero** heap allocations.
 //!
 //! The whole scenario lives in ONE `#[test]`, and the counter is
 //! **per-thread**: every measured path below runs entirely on the
@@ -246,6 +246,24 @@ fn steady_state_scheduler_path_is_allocation_free_for_inline_k() {
             wal::encode_epoch_seal(&mut frames, 2, 32);
         });
         assert_eq!(framing, 0, "framing a commit into a warmed epoch buffer must not allocate");
+    }
+
+    // The sharded value store. Each shard is a dense table sized once by
+    // the largest id it holds, so over items already stored the engine's
+    // read (lock + get) and apply (lock + insert) must not touch the heap.
+    {
+        use mdts::storage::{ShardedStore, DEFAULT_STORE_SHARDS};
+
+        let store = ShardedStore::with_items(ITEMS as u32, 0i64, DEFAULT_STORE_SHARDS);
+        let store_ops = allocations(|| {
+            for n in 0..4 * ITEMS {
+                let it = item(n * 67);
+                let mut shard = store.lock_shard(store.shard_index(it));
+                let before = *shard.get(&it).expect("every item in ITEMS is stored");
+                assert_eq!(shard.insert(it, before + 1), Some(before));
+            }
+        });
+        assert_eq!(store_ops, 0, "store reads and overwrites of stored items must not allocate");
     }
 
     // The engine's admission sequence, including the restart prewarm: a
