@@ -26,13 +26,22 @@
 //! The spine covers the whole `u32` id space (the last chunk is merely
 //! never fully resident on real workloads); `ensure_slot` materializes a
 //! chunk on first touch with a CAS, and losers free their allocation.
+//!
+//! Addressing a slot writes nothing shared: once its chunk is resident,
+//! `ensure_slot` is one Acquire load of a spine pointer. In particular
+//! the table keeps no high-water mark of touched indices — maintaining
+//! one is a `fetch_max` on every `begin`/`read`/`write`, on a line beside
+//! the spine that every `slot()` reads, and under two clients that line
+//! bounces on every access. Inspection instead walks every resident
+//! chunk: chunks are never freed before drop, so the resident set only
+//! grows.
 
 use std::sync::PoisonError;
 
 use mdts_vector::TsVec;
 
 use crate::sync::{
-    AtomicBool, AtomicI64, AtomicPtr, AtomicU32, AtomicUsize, Ordering, RwLock, RwLockReadGuard,
+    AtomicBool, AtomicI64, AtomicPtr, AtomicU32, Ordering, RwLock, RwLockReadGuard,
     RwLockWriteGuard,
 };
 
@@ -148,14 +157,11 @@ impl RowSlot {
 /// The lock-free-addressable row table. See the module docs.
 pub struct RowTable {
     spine: [AtomicPtr<RowSlot>; BUCKETS],
-    /// Exclusive upper bound of slot indices ever materialized — bounds
-    /// the inspection scans; correctness never depends on it.
-    high: AtomicUsize,
 }
 
 impl std::fmt::Debug for RowTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RowTable").field("high", &self.high.load(Ordering::Relaxed)).finish()
+        f.debug_struct("RowTable").field("resident_chunks", &self.resident_chunks()).finish()
     }
 }
 
@@ -170,10 +176,7 @@ fn locate(idx: usize) -> (usize, usize, usize) {
 impl RowTable {
     /// An empty table (no chunks resident).
     pub fn new() -> Self {
-        RowTable {
-            spine: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
-            high: AtomicUsize::new(0),
-        }
+        RowTable { spine: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())) }
     }
 
     /// The slot for `idx`, if its chunk has been materialized.
@@ -226,20 +229,33 @@ impl RowTable {
                 }
             }
         }
-        self.high.fetch_max(idx + 1, Ordering::Relaxed);
         // SAFETY: as in `slot`.
         unsafe { &*chunk.add(off) }
     }
 
-    /// Exclusive upper bound of ever-materialized slot indices.
-    pub fn high(&self) -> usize {
-        self.high.load(Ordering::Relaxed)
+    /// Iterates every slot of every resident chunk in index order
+    /// (inspection only: a chunk published concurrently may or may not be
+    /// included). Slots never touched read as empty rows.
+    pub fn iter_slots(&self) -> impl Iterator<Item = (usize, &RowSlot)> {
+        self.spine.iter().enumerate().flat_map(|(b, cell)| {
+            let chunk = cell.load(Ordering::Acquire);
+            let slots: &[RowSlot] = if chunk.is_null() {
+                &[]
+            } else {
+                // SAFETY: a published chunk holds `BASE << b` initialized
+                // slots (Acquire pairs with the publishing CAS, as in
+                // `slot`) and is never moved or freed before drop.
+                unsafe { std::slice::from_raw_parts(chunk, BASE << b) }
+            };
+            let start = ((1usize << b) - 1) * BASE;
+            slots.iter().enumerate().map(move |(off, slot)| (start + off, slot))
+        })
     }
 
-    /// Iterates the materialized slots in index order (inspection only:
-    /// the bound is a racy watermark).
-    pub fn iter_slots(&self) -> impl Iterator<Item = (usize, &RowSlot)> {
-        (0..self.high()).filter_map(|idx| self.slot(idx).map(|s| (idx, s)))
+    /// Byte address range of the spine, for cache-line layout checks.
+    #[cfg(test)]
+    pub(crate) fn spine_span(&self) -> std::ops::Range<usize> {
+        mdts_vector::stripes::span_of(&self.spine)
     }
 
     /// Number of spine chunks currently materialized (telemetry gauge;
@@ -296,8 +312,32 @@ mod tests {
         *t.ensure_slot(5).write() = Some(TsVec::undefined(2));
         let b = t.ensure_slot(5) as *const RowSlot;
         assert_eq!(a, b, "a slot address never changes");
-        assert_eq!(t.high(), 6);
+        assert_eq!(t.resident_chunks(), 1);
+        assert_eq!(t.iter_slots().count(), BASE, "only chunk 0 is resident");
         assert_eq!(t.iter_slots().filter(|(_, s)| s.read().is_some()).count(), 1);
+    }
+
+    /// Without a watermark the scans walk resident chunks: materialize
+    /// only chunk 0 and chunk 3 and the walk must yield exactly their
+    /// slots, in index order, each at its own address.
+    #[test]
+    fn iter_slots_walks_exactly_the_resident_chunks() {
+        let t = RowTable::new();
+        let far = 7 * BASE + 3; // chunk 3 starts at BASE * (2^3 - 1)
+        assert_eq!(locate(far).0, 3);
+        *t.ensure_slot(0).write() = Some(TsVec::undefined(2));
+        *t.ensure_slot(far).write() = Some(TsVec::undefined(2));
+        assert_eq!(t.resident_chunks(), 2);
+
+        let seen: Vec<usize> = t.iter_slots().map(|(idx, _)| idx).collect();
+        let expected: Vec<usize> = (0..BASE).chain(7 * BASE..15 * BASE).collect();
+        assert_eq!(seen, expected, "chunks 1 and 2 are not resident");
+        for (idx, slot) in t.iter_slots().step_by(BASE / 2) {
+            assert!(std::ptr::eq(slot, t.slot(idx).expect("resident")));
+        }
+        let live: Vec<usize> =
+            t.iter_slots().filter(|(_, s)| s.read().is_some()).map(|(idx, _)| idx).collect();
+        assert_eq!(live, [0, far]);
     }
 
     #[test]

@@ -47,6 +47,11 @@
 //!   finished; whoever drops the last reference frees the row (under that
 //!   slot's write lock alone). The III-D-4 restart hint also lives in the
 //!   slot, so no side table survives either.
+//! * **No client writes a line another client reads or writes on every
+//!   access** — the order-cache and batched-compare statistics are
+//!   thread-striped [`StripedCounters`], the order cache's `epoch` and
+//!   the row spine sit on lines no counter shares, and addressing a row
+//!   slot writes nothing (DESIGN.md §5, cache-line discipline).
 //!
 //! **Lock order** (deadlock freedom): item shard → row-slot locks in
 //! ascending slot index → order-cache shard (leaf; nothing is acquired
@@ -84,9 +89,10 @@
 //!   hit's sequence number lands after the justifying encode's.
 //!
 //! [`OrderCache`]: mdts_vector::OrderCache
+//! [`StripedCounters`]: mdts_vector::StripedCounters
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 // The row-slot guards come from the cfg(loom)-switched layer so this
@@ -101,7 +107,8 @@ use mdts_trace::event::{
 };
 use mdts_trace::{TraceEvent, TraceSink};
 use mdts_vector::{
-    AtomicKthCounters, BatchScratch, CmpResult, OrderCache, OrderCacheStats, SimdComparator, TsVec,
+    AtomicKthCounters, BatchScratch, CmpResult, OrderCache, OrderCacheStats, SimdComparator,
+    StripedCounters, TsVec,
 };
 
 use crate::mtk::{Decision, MtOptions, Reject};
@@ -196,14 +203,13 @@ pub struct BatchedCompareStats {
     pub size_buckets: [u64; BATCH_SIZE_BUCKETS],
 }
 
-/// Atomic backing of [`BatchedCompareStats`].
-#[derive(Debug, Default)]
-struct BatchedCounters {
-    probe_batches: AtomicU64,
-    chain_batches: AtomicU64,
-    candidates: AtomicU64,
-    size_buckets: [AtomicU64; BATCH_SIZE_BUCKETS],
-}
+// Counter indices into `SharedMtScheduler::batched`: the three totals of
+// `BatchedCompareStats`, then its size buckets.
+const PROBE_BATCHES: usize = 0;
+const CHAIN_BATCHES: usize = 1;
+const CANDIDATES: usize = 2;
+const SIZE_BUCKET_0: usize = 3;
+const BATCHED_COUNTERS: usize = SIZE_BUCKET_0 + BATCH_SIZE_BUCKETS;
 
 std::thread_local! {
     /// Reusable scratch for the batched comparator: per thread,
@@ -239,8 +245,10 @@ pub struct SharedMtScheduler {
     /// version GC sound (DESIGN.md §8). `SeqCst`, matching the MV store's
     /// install/registry counters the soundness argument chains through.
     col_max: Box<[AtomicI64]>,
-    /// Batched-compare counters (ISSUE 8).
-    batched: BatchedCounters,
+    /// Batched-compare counters (ISSUE 8), striped per thread: a miss
+    /// probe bumps three of them, and shared words would bounce between
+    /// every client's cache.
+    batched: StripedCounters<BATCHED_COUNTERS>,
     /// Decision-trace sink (disabled by default; see `mdts-trace`).
     trace: TraceSink,
 }
@@ -301,7 +309,7 @@ impl SharedMtScheduler {
             cache: OrderCache::new(),
             counters: AtomicKthCounters::new(),
             col_max: (0..k).map(|_| AtomicI64::new(0)).collect(),
-            batched: BatchedCounters::default(),
+            batched: StripedCounters::new(),
             trace: TraceSink::disabled(),
         }
     }
@@ -341,12 +349,12 @@ impl SharedMtScheduler {
 
     /// Counters of the batched SIMD compare paths (ISSUE 8).
     pub fn batched_compare_stats(&self) -> BatchedCompareStats {
-        let b = &self.batched;
+        let c = self.batched.sum();
         BatchedCompareStats {
-            probe_batches: b.probe_batches.load(Ordering::Relaxed),
-            chain_batches: b.chain_batches.load(Ordering::Relaxed),
-            candidates: b.candidates.load(Ordering::Relaxed),
-            size_buckets: std::array::from_fn(|i| b.size_buckets[i].load(Ordering::Relaxed)),
+            probe_batches: c[PROBE_BATCHES],
+            chain_batches: c[CHAIN_BATCHES],
+            candidates: c[CANDIDATES],
+            size_buckets: std::array::from_fn(|i| c[SIZE_BUCKET_0 + i]),
         }
     }
 
@@ -355,14 +363,10 @@ impl SharedMtScheduler {
     fn note_batch(&self, chain: bool, n: usize) {
         debug_assert!(n >= 1);
         let b = &self.batched;
-        if chain {
-            b.chain_batches.fetch_add(1, Ordering::Relaxed);
-        } else {
-            b.probe_batches.fetch_add(1, Ordering::Relaxed);
-        }
-        b.candidates.fetch_add(n as u64, Ordering::Relaxed);
+        b.add(if chain { CHAIN_BATCHES } else { PROBE_BATCHES }, 1);
+        b.add(CANDIDATES, n as u64);
         let bucket = (usize::BITS - 1 - n.leading_zeros()) as usize;
-        b.size_buckets[bucket.min(BATCH_SIZE_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
+        b.add(SIZE_BUCKET_0 + bucket.min(BATCH_SIZE_BUCKETS - 1), 1);
     }
 
     /// The shard owning `item` and the item's dense index within it.
@@ -1540,6 +1544,55 @@ mod tests {
 
     use super::*;
     use crate::mtk::MtScheduler;
+
+    /// Cache-line layout regression: the words every access reads (the
+    /// order cache's `epoch` and `slots` pointer, the row spine) share no
+    /// 128-byte line with any statistics stripe, and no two stripes share
+    /// a line. A field reorder or a lost alignment that breaks this costs
+    /// the two-client lane about a quarter of its throughput, silently.
+    #[test]
+    fn hot_read_words_and_counter_stripes_keep_their_own_lines() {
+        use mdts_vector::stripes::lines_of;
+
+        let s = SharedMtScheduler::with_k(3);
+        let (mut read_mostly, mut stripes) = s.cache.line_spans();
+        read_mostly.push(s.rows.spine_span());
+        stripes.extend(s.batched.stripe_spans());
+        assert_eq!(stripes.len(), 2 * mdts_vector::stripes::STRIPES);
+
+        let overlap = |a: &std::ops::Range<usize>, b: &std::ops::Range<usize>| {
+            let (la, lb) = (lines_of(a), lines_of(b));
+            la.start < lb.end && lb.start < la.end
+        };
+        for word in &read_mostly {
+            for stripe in &stripes {
+                assert!(
+                    !overlap(word, stripe),
+                    "read-mostly word {word:x?} shares a line with stripe {stripe:x?}"
+                );
+            }
+        }
+        for (i, a) in stripes.iter().enumerate() {
+            for b in &stripes[i + 1..] {
+                assert!(!overlap(a, b), "stripes {a:x?} and {b:x?} share a line");
+            }
+        }
+    }
+
+    /// `live_rows` walks resident chunks, not a watermark: a row in a far
+    /// chunk (chunk 3, ids from `7 * 1024`) is counted with chunks 1 and 2
+    /// never materialized.
+    #[test]
+    fn live_rows_counts_rows_in_every_resident_chunk() {
+        let s = SharedMtScheduler::with_k(2);
+        let far = TxId(7 * 1024 + 3);
+        s.begin(far);
+        assert_eq!(s.resident_row_chunks(), 2);
+        assert_eq!(s.live_rows(), 2, "T0 and the far transaction");
+        assert!(s.read(far, ItemId(0)).is_accept());
+        s.commit(far);
+        assert_eq!(s.live_rows(), 2, "the far row still holds RT of item 0");
+    }
 
     #[test]
     fn first_op_defines_first_element() {

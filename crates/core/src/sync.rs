@@ -11,10 +11,10 @@
 //! results use the real type.
 
 #[cfg(loom)]
-pub use loom::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU32, AtomicUsize, Ordering};
+pub use loom::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU32, Ordering};
 #[cfg(loom)]
 pub use loom::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 #[cfg(not(loom))]
-pub use std::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU32, AtomicUsize, Ordering};
+pub use std::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU32, Ordering};
 #[cfg(not(loom))]
 pub use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};

@@ -5,13 +5,13 @@
 //! exportable as an `mdts-trace` [`MetricsRegistry`] (the experiment
 //! binaries' `--json` document).
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 use mdts_core::BATCH_SIZE_BUCKETS;
 use mdts_storage::{MvStoreStats, MV_CHAIN_LEN_BUCKETS};
 use mdts_trace::{HistogramExport, Json, MetricsRegistry};
+use mdts_vector::StripedCounters;
 
 /// Number of per-shard access counters (accesses are striped by store
 /// shard index modulo this, matching the store's default shard count).
@@ -132,7 +132,7 @@ impl Metrics {
 pub const PHASE_COUNT: usize = 6;
 
 /// Where a transaction's wall time goes (DESIGN.md §6). Each phase has
-/// its own nanosecond histogram and striped running total.
+/// its own nanosecond histogram and thread-striped running total.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Phase {
     /// Scheduler admission: `begin`/`begin_at_least` through grant.
@@ -174,41 +174,17 @@ impl Phase {
     }
 }
 
-/// Stripes for the per-phase running totals; threads hash onto stripes so
-/// concurrent `record` calls don't share a cache line (same idiom as
-/// `shard_accesses`).
-const PHASE_STRIPES: usize = 16;
-
-thread_local! {
-    /// This thread's stripe index, assigned round-robin on first use.
-    /// Const-initialized: reading it never allocates or locks.
-    static PHASE_STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-/// Round-robin stripe assignment source.
-static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
-
-fn phase_stripe() -> usize {
-    PHASE_STRIPE.with(|cell| {
-        let mut s = cell.get();
-        if s == usize::MAX {
-            s = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % PHASE_STRIPES;
-            cell.set(s);
-        }
-        s
-    })
-}
-
 /// Lock-free wall-time phase spans. Always compiled in; when disabled
 /// (the default) [`PhaseTimers::start`] returns `None` without reading
 /// the clock, so the hot path pays one relaxed load per span. Recording
-/// is a handful of relaxed `fetch_add`s into striped cells and a
+/// is a relaxed `fetch_add` on the thread's own counter stripe and a
 /// fixed-size histogram — no locks, no allocation.
 #[derive(Debug)]
 pub struct PhaseTimers {
     enabled: AtomicBool,
-    /// Running total nanoseconds per phase, striped by thread.
-    total_ns: [[AtomicU64; PHASE_STRIPES]; PHASE_COUNT],
+    /// Running total nanoseconds per phase (index = `Phase as usize`),
+    /// striped by thread so concurrent records never share a line.
+    total_ns: StripedCounters<PHASE_COUNT>,
     /// Span-duration histograms, in nanoseconds.
     spans: [LatencyHistogram; PHASE_COUNT],
 }
@@ -217,7 +193,7 @@ impl Default for PhaseTimers {
     fn default() -> Self {
         PhaseTimers {
             enabled: AtomicBool::new(false),
-            total_ns: std::array::from_fn(|_| [0u64; PHASE_STRIPES].map(AtomicU64::new)),
+            total_ns: StripedCounters::new(),
             spans: std::array::from_fn(|_| LatencyHistogram::default()),
         }
     }
@@ -256,18 +232,17 @@ impl PhaseTimers {
     /// Records a span duration directly (testing and replay).
     pub fn record_ns(&self, phase: Phase, ns: u64) {
         let p = phase as usize;
-        self.total_ns[p][phase_stripe()].fetch_add(ns, Ordering::Relaxed);
+        self.total_ns.add(p, ns);
         self.spans[p].record(ns);
     }
 
     /// Point-in-time view: per-phase totals and span histograms.
     pub fn snapshot(&self) -> PhaseSnapshot {
-        let mut out = PhaseSnapshot { enabled: self.enabled(), ..PhaseSnapshot::default() };
-        for p in 0..PHASE_COUNT {
-            out.total_ns[p] = self.total_ns[p].iter().map(|c| c.load(Ordering::Relaxed)).sum();
-            out.spans[p] = self.spans[p].snapshot();
+        PhaseSnapshot {
+            enabled: self.enabled(),
+            total_ns: self.total_ns.sum(),
+            spans: std::array::from_fn(|p| self.spans[p].snapshot()),
         }
-        out
     }
 }
 

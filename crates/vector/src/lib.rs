@@ -29,13 +29,16 @@
 //! * [`interval_view`] — the Section VI-A reading of a vector as a shrinking
 //!   timestamp interval;
 //! * [`OrderCache`] — a concurrent memo table for *decided* strict orders,
-//!   sound because elements are write-once (see `ordercache` module docs).
+//!   sound because elements are write-once (see `ordercache` module docs);
+//! * [`StripedCounters`] — thread-striped statistics counters that keep
+//!   the schedulers' bookkeeping off the lines their clients share.
 
 pub mod compare;
 pub mod counters;
 pub mod interval;
 pub mod ordercache;
 pub mod simd;
+pub mod stripes;
 pub(crate) mod sync;
 pub mod tsvec;
 
@@ -44,6 +47,7 @@ pub use counters::{AtomicKthCounters, KthCounters};
 pub use interval::interval_view;
 pub use ordercache::{OrderCache, OrderCacheStats};
 pub use simd::{simd_tier, BatchScratch, SimdComparator, SimdTier};
+pub use stripes::StripedCounters;
 pub use tsvec::{TsVec, INLINE_K};
 
 #[cfg(test)]

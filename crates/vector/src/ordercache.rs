@@ -45,13 +45,22 @@
 //!   lengthen the read→validate window of every in-flight transaction
 //!   and measurably *feed* the storm they rode in on; and
 //! * slots are individual *seqlocks*, so the cache takes no lock at all:
-//!   a lookup is three plain atomic loads (no read-modify-write — the
-//!   version word is read twice around the data words and a change means
-//!   "miss"), and an insert claims the slot with a single CAS on the
-//!   version word, dropping the insert if another writer holds it.
+//!   a lookup reads the epoch, then the slot's version word twice around
+//!   its two data words (a change means "miss"), with no read-modify-write
+//!   on any shared word; an insert claims the slot with a single CAS on
+//!   the version word, dropping the insert if another writer holds it.
 //!   Schedulers consult the cache from inside hot critical sections — an
 //!   item-shard lock, a pair of row locks — and a memo table must never
 //!   park a thread that is holding real protocol state.
+//!
+//! The one write a lookup does make is its hit or miss count, and that
+//! goes to the calling thread's own [`StripedCounters`] stripe. A shared
+//! counter would be a locked RMW by every client on one line; beside
+//! `epoch`, it would also drag the line every lookup reads `epoch` from
+//! between the clients' caches. Striped, the read-mostly words (`epoch`,
+//! the `slots` pointer) keep a line of their own (the struct is 128-byte
+//! aligned and each stripe fills whole lines) and clients write only
+//! lines no other client touches.
 //!
 //! Seqlock consistency is what makes the torn-write question moot: a
 //! reader accepts the `(key, payload)` words only if the version word is
@@ -59,8 +68,12 @@
 //! completed insert.
 //!
 //! [`TsVec::define`]: crate::TsVec::define
+//! [`StripedCounters`]: crate::StripedCounters
+
+use std::ops::Range;
 
 use crate::compare::CmpResult;
+use crate::stripes::{span_of, StripedCounters};
 use crate::sync::{fence, AtomicU64, Ordering};
 
 /// Direct-mapped slot count (power of two). The cache holds at most this
@@ -146,18 +159,27 @@ impl OrderCacheStats {
     }
 }
 
+// Counter indices into `OrderCache::stats`, one per `OrderCacheStats` field.
+const HITS: usize = 0;
+const MISSES: usize = 1;
+const INSERTS: usize = 2;
+const INVALIDATIONS: usize = 3;
+const BULK_INSERTS: usize = 4;
+
 /// A concurrent memo table for decided (strict) Definition 6 orders,
 /// keyed by unordered pairs of transaction ids. See the module docs for
 /// the soundness argument.
+///
+/// 128-byte aligned so `slots` and `epoch`, which every operation reads,
+/// share their line with nothing outside the cache, and the statistics
+/// stripes (whole lines each) with nothing at all.
 #[derive(Debug)]
+#[repr(align(128))]
 pub struct OrderCache {
     slots: Box<[Slot]>,
     epoch: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-    invalidations: AtomicU64,
-    bulk_inserts: AtomicU64,
+    /// `OrderCacheStats`, indexed by the constants above.
+    stats: StripedCounters<5>,
 }
 
 impl Default for OrderCache {
@@ -181,11 +203,7 @@ impl OrderCache {
         OrderCache {
             slots: (0..SLOTS).map(|_| Slot::empty()).collect(),
             epoch: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            bulk_inserts: AtomicU64::new(0),
+            stats: StripedCounters::new(),
         }
     }
 
@@ -257,7 +275,7 @@ impl OrderCache {
 
         let (stored_epoch, at, lo_less) = unpack(payload);
         if consistent && stored_key == key && stored_epoch == epoch {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.stats.add(HITS, 1);
             let at = at as usize;
             Some(if lo_less != swapped {
                 CmpResult::Less { at }
@@ -265,7 +283,7 @@ impl OrderCache {
                 CmpResult::Greater { at }
             })
         } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.stats.add(MISSES, 1);
             None
         }
     }
@@ -326,7 +344,7 @@ impl OrderCache {
         slot.key.store(key, Ordering::Relaxed);
         slot.payload.store(payload, Ordering::Relaxed);
         slot.version.store(v + 2, Ordering::Release);
-        self.inserts.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(INSERTS, 1);
     }
 
     /// Bulk fill from one batched compare (ISSUE 8): stores every decided
@@ -349,7 +367,7 @@ impl OrderCache {
             }
         }
         if offered > 0 {
-            self.bulk_inserts.fetch_add(offered, Ordering::Relaxed);
+            self.stats.add(BULK_INSERTS, offered);
         }
     }
 
@@ -358,18 +376,21 @@ impl OrderCache {
     /// reclaimed transaction id.
     pub fn invalidate_all(&self) {
         self.epoch.fetch_add(1, Ordering::AcqRel);
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(INVALIDATIONS, 1);
     }
 
-    /// Point-in-time statistics.
+    /// Point-in-time statistics: exact once the threads using the cache
+    /// are quiescent, monotone across one reader's calls meanwhile.
     pub fn stats(&self) -> OrderCacheStats {
-        OrderCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            bulk_inserts: self.bulk_inserts.load(Ordering::Relaxed),
-        }
+        let [hits, misses, inserts, invalidations, bulk_inserts] = self.stats.sum();
+        OrderCacheStats { hits, misses, inserts, invalidations, bulk_inserts }
+    }
+
+    /// Byte address ranges of the words every operation reads (`slots`,
+    /// `epoch`) and of each statistics stripe, for cache-line layout
+    /// checks.
+    pub fn line_spans(&self) -> (Vec<Range<usize>>, Vec<Range<usize>>) {
+        (vec![span_of(&self.slots), span_of(&self.epoch)], self.stats.stripe_spans().collect())
     }
 
     /// Total slots ever written (including epoch-stale ones — they are
@@ -467,6 +488,27 @@ mod tests {
         let fork = cache.clone();
         assert!(fork.is_empty());
         assert_eq!(fork.stats(), OrderCacheStats::default());
+    }
+
+    #[test]
+    fn hits_and_misses_count_every_get_across_threads() {
+        const GETS: u32 = if cfg!(miri) { 200 } else { 20_000 };
+        let cache = OrderCache::new();
+        cache.insert(cache.epoch(), 1, 2, CmpResult::Less { at: 0 });
+        std::thread::scope(|scope| {
+            for t in 0..4u32 {
+                let cache = &cache;
+                scope.spawn(move || {
+                    for n in 0..GETS {
+                        // Half the lookups hit the one stored pair, half miss.
+                        let _ = if n % 2 == 0 { cache.get(1, 2) } else { cache.get(t + 3, n + 10) };
+                    }
+                });
+            }
+        });
+        let s = cache.stats();
+        assert_eq!(s.hits + s.misses, 4 * u64::from(GETS));
+        assert_eq!(s.hits, 2 * u64::from(GETS), "every lookup of the stored pair hits");
     }
 
     /// Random write-once define steps `(tx, column, value)`, derived from

@@ -146,6 +146,39 @@ fn steady_state_scheduler_path_is_allocation_free_for_inline_k() {
         "steady-state begin/read/write/commit/abort/restart must not allocate for k = {INLINE_K}"
     );
 
+    // A freshly spawned thread, measured from its very first call. The
+    // scheduler's statistics are thread-striped counters: a thread's
+    // first add assigns its stripe through a `const` thread-local, and
+    // that assignment must not allocate either. The main thread begins a
+    // transaction and reads an item, which decides (and memoizes) its
+    // order against the item's holders; the new thread then re-reads,
+    // writes and commits it — every compare is an order-cache hit, so
+    // the new thread's per-thread batch scratch is never needed, and its
+    // first striped add (a cache hit count) lies inside the window.
+    let handoff = TxId(id);
+    id += 1;
+    s.begin(handoff);
+    assert!(s.read(handoff, item(5)).is_accept());
+    let hits_before = s.order_cache_stats().hits;
+    let timers = PhaseTimers::default();
+    timers.set_enabled(true);
+    let fresh_thread = std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                allocations(|| {
+                    assert!(s.read(handoff, item(5)).is_accept());
+                    assert!(s.write(handoff, item(5)).is_accept());
+                    s.commit(handoff);
+                    timers.record_ns(Phase::Commit, 17);
+                })
+            })
+            .join()
+            .expect("fresh thread")
+    });
+    assert_eq!(fresh_thread, 0, "a new thread's first scheduler calls must not allocate");
+    assert!(s.order_cache_stats().hits > hits_before, "the new thread must hit the order cache");
+    assert_eq!(timers.snapshot().total_ns[Phase::Commit as usize], 17);
+
     // The MV-MT(k) snapshot serving path (ISSUE 6): a read-only
     // transaction's row is allocated by `begin`, after which
     // `snapshot_read` (boosted reader defines + RT registration) and the
@@ -196,10 +229,8 @@ fn steady_state_scheduler_path_is_allocation_free_for_inline_k() {
 
     // The phase-timing cells (ISSUE 7). Disabled — the compiled-in
     // default — a span start is one relaxed load and recording is a
-    // no-op; enabled, recording is striped atomic adds into fixed
-    // arrays. Neither side may touch the heap: the thread's stripe
-    // assignment is a const-initialized thread local, warmed here by
-    // the first enabled record before the window opens.
+    // no-op; enabled, recording is a thread-striped atomic add and a
+    // fixed histogram. Neither side may touch the heap.
     let timers = PhaseTimers::default();
     let disabled = allocations(|| {
         for _ in 0..256 {
